@@ -10,9 +10,10 @@ clustered LTS, distributed rank steppers) runs through one of:
 * :class:`ReferenceBackend` -- delegates to the reference kernel functions
   and preserves their bit-exact behaviour (and their per-call temporaries),
 * :class:`OptimizedBackend` -- the same math restructured for speed,
-* :class:`FastBackend` -- the optimized structure with the f64 bit-identity
-  pin dropped: every contraction may reassociate (BLAS dispatch), so results
-  are *tolerance-equal* instead of bit-identical.
+* :class:`FastBackend` -- the f64 bit-identity pin dropped: one combined
+  per-element operator for the CK and volume kernels, one code path for
+  scalar and fused batches, and every contraction may reassociate (BLAS
+  dispatch), so results are *tolerance-equal* instead of bit-identical.
 
 ``OptimizedBackend`` restructures as follows:
 
@@ -47,16 +48,17 @@ within a tolerance anyway and the reassociation buys the largest speedup.
 
 Tolerance-equality contract (fast mode)
 ---------------------------------------
-:class:`FastBackend` deliberately breaks the f64 pin: the einsum-plan cache
-engages at every precision, the batched per-element matrix applications are
-lowered to ``np.matmul`` (batched BLAS GEMMs), and the per-dimension /
+:class:`FastBackend` deliberately breaks the f64 pin: the CK and volume
+kernels apply one combined per-element operator (elastic star, anelastic
+star, coupling and relaxation in one matrix) through batched BLAS GEMMs,
+scalar and fused batches share that one code path, and the per-derivative /
 per-face / per-mechanism accumulation loops are fused into single
-contractions.  Every output is still assembled from the same exactly-zero-
-sliced operands, so the result differs from the reference only by floating-
-point reassociation.  "Close enough" is not left to ad-hoc ``allclose``
-calls: :mod:`repro.verification` pins the contract with convergence-order
-checks against analytic solutions and committed golden-trace regressions
-under an explicit per-scenario tolerance ladder.
+contractions.  The result differs from the reference only by floating-point
+reassociation (and by products with exact zeros).  "Close enough" is not
+left to ad-hoc ``allclose`` calls: :mod:`repro.verification` pins the
+contract with convergence-order checks against analytic solutions and
+committed golden-trace regressions under an explicit per-scenario tolerance
+ladder.
 """
 
 from __future__ import annotations
@@ -232,7 +234,7 @@ class _DiscData:
 
     __slots__ = ("star_e_blocks", "star_a_velocity", "coupling_stress",
                  "flux_a_velocity", "ftilde_flat", "k_time_rows", "k_time_sliced",
-                 "k_time_cat_t", "k_vol_cat_t", "fhat_flat")
+                 "k_time_cat", "k_vol_cat", "fhat_flat")
 
     def __init__(self, disc):
         star_e = disc.star_elastic
@@ -263,17 +265,12 @@ class _DiscData:
             else:
                 self.k_time_rows.append(None)
                 self.k_time_sliced.append(disc.k_time[c])
-        # concatenated-and-transposed stiffness operators of the fast fused
-        # path: one (3 B, B) GEMM per CK/volume iteration instead of three
-        # B x B applications -- triples the GEMM rows per batch item, which
-        # amortizes the per-item dispatch cost the narrow fused column
-        # counts otherwise expose
-        self.k_time_cat_t = np.ascontiguousarray(
-            np.concatenate([disc.k_time[c].T for c in range(3)], axis=0)
-        )
-        self.k_vol_cat_t = np.ascontiguousarray(
-            np.concatenate([disc.k_vol[c].T for c in range(3)], axis=0)
-        )
+        # the three directional stiffness operators side by side, (B, 3 B):
+        # the fast backend applies all of them in one GEMM per CK iteration
+        # and volume kernel; the volume one is negated so that both kernels
+        # share one combined element operator
+        self.k_time_cat = np.concatenate(list(disc.k_time), axis=1)
+        self.k_vol_cat = -np.concatenate(list(disc.k_vol), axis=1)
         # (4 F, B) flattened back-projection of the fast fused surface path
         self.fhat_flat = np.ascontiguousarray(
             disc.fhat.reshape(-1, disc.fhat.shape[2])
@@ -297,6 +294,29 @@ def _elements_token(elements, ws=None):
         ws._tokens[id(elements)] = (elements, token)
         return token
     return elements.tobytes()
+
+
+def _strided_stack(arrays):
+    """``arrays`` as one ``(n, ...)`` view if they sit at a constant stride.
+
+    True for the slices of one derivative stack (and for their ``[:, :9]``
+    views); ``None`` for independently allocated arrays.  The view only
+    addresses the elements of the arrays themselves.
+    """
+    first = arrays[0]
+    address = first.__array_interface__["data"][0]
+    step = arrays[1].__array_interface__["data"][0] - address if len(arrays) > 1 else 0
+    for d, array in enumerate(arrays):
+        if (
+            array.shape != first.shape
+            or array.strides != first.strides
+            or array.dtype != first.dtype
+            or array.__array_interface__["data"][0] != address + d * step
+        ):
+            return None
+    return np.lib.stride_tricks.as_strided(
+        first, (len(arrays),) + first.shape, (step,) + first.strides, writeable=False
+    )
 
 
 class OptimizedBackend(ReferenceBackend):
@@ -471,20 +491,15 @@ class OptimizedBackend(ReferenceBackend):
             an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
             neg_omegas = (-omegas).reshape((n_mech, 1, 1) + (1,) * len(fused))
 
-        # the zero-row slicing pays on scalar batches (fewer FLOPs, bit-safe)
-        # but on fused batches the fancy-index row gather of a strided
-        # (E, 9, rows, F) block costs more than the dropped zero products;
-        # the fast backend contracts the full matrices there instead
-        slice_rows = not (fused and self._plan_f64)
         for d in range(1, order):
             current = stack[d - 1]
             nxt = stack[d]
             elastic_prev = current[:, :N_ELASTIC]
             for c in range(3):
-                rows = data.k_time_rows[c] if slice_rows else None
+                rows = data.k_time_rows[c]
                 self._basis_apply(
                     elastic_prev if rows is None else elastic_prev[:, :, rows],
-                    data.k_time_sliced[c] if slice_rows else disc.k_time[c],
+                    data.k_time_sliced[c],
                     out=tmp[c],
                 )
             self._star_elastic_apply(data, ops, tmp, nxt, ws, sign=-1.0)
@@ -736,28 +751,36 @@ class OptimizedBackend(ReferenceBackend):
 class FastBackend(OptimizedBackend):
     """Tolerance-equal f64 execution: the bit-identity pin dropped.
 
-    Reuses the optimized backend's batching, cached operator gathers,
-    zero-block slicing and scratch workspaces, but relaxes the contraction
-    order for speed:
+    Reuses the optimized backend's cached flux gathers and scratch
+    workspaces, but relaxes the contraction order for speed:
 
-    * every einsum runs through the cached ``np.einsum_path`` plan at every
-      dtype, so the tensordot-shaped contractions (stiffness applications,
-      trace projections, ``F_bar``/``fhat`` multiplies) dispatch to BLAS,
-    * the batched per-element matrix applications (star, coupling, flux
-      solves) are lowered to ``np.matmul`` -- batched GEMMs over folded
-      basis/fused trailing axes,
-    * the four per-face surface contributions are accumulated by one fused
-      ``(face, face_basis)`` contraction instead of a reference-ordered loop,
-      and the per-mechanism anelastic surface terms reuse one common
-      face-summed contribution.
+    * the CK and volume kernels apply one combined per-element operator
+      ``A`` (:meth:`_element_operator`), which folds the elastic star, the
+      anelastic star, the coupling and the relaxation terms into one
+      ``(9 + 6 m) x (27 + 6 m)`` matrix per element: a CK iteration is one
+      copy, one stiffness GEMM and one batched GEMM, and the volume kernel
+      is the same step with the negated volume stiffness,
+    * scalar and fused batches run the same code; only the stiffness GEMM
+      differs (``x @ [K_0|K_1|K_2]`` vs ``[K_c]^T @ x``, see
+      :meth:`_basis_apply`), and any fused axis is folded into the GEMM
+      columns (:meth:`_bmm`),
+    * Taylor integration is one contraction of the factors with the
+      derivative stack,
+    * the ``(E, 4)``-batched flux solves write straight into the layout of
+      one back-projection GEMM over ``(face, face_basis)``; the
+      per-mechanism anelastic surface terms reuse one face-summed
+      contribution.
 
-    Results are NOT bit-identical to the reference at any precision; the
-    accuracy contract (convergence order, golden-trace tolerances) is owned
-    by :mod:`repro.verification`.
+    The dense operator multiplies the zeros the optimized backend slices
+    away (see :mod:`repro.kernels.flops` for the executed-to-useful ratio);
+    one wide GEMM still beats several narrow ones.  Results are NOT
+    bit-identical to the reference at any precision; the accuracy contract
+    (convergence order, golden-trace tolerances) is owned by
+    :mod:`repro.verification`.
     """
 
     name = "fast"
-    _plan_f64 = True  # the whole point: plans (and BLAS) at f64 too
+    _plan_f64 = True  # any einsum it runs is planned (may reassociate) at f64 too
 
     @staticmethod
     def _bmm(matrices, operand, out):
@@ -770,28 +793,21 @@ class FastBackend(OptimizedBackend):
         slicing, so they are views and ``np.matmul`` writes in place; an
         exotic non-contiguous *operand* would fold through a copy (still
         correct -- only ``out`` must remain a view, and it is always
-        freshly-allocated contiguous workspace scratch).
+        workspace scratch with contiguous innermost axes).
+
+        The folded column axis runs as one GEMM, however wide.  Splitting it
+        into <= 128-column chunks (bitwise free) was measured against the
+        combined ``27 x 45`` operator and the ``9 x 9`` flux blocks on a
+        2-vCPU Xeon (OpenBLAS 0.3.31, 1 thread, 1114-element batch, m = 3)
+        and lost everywhere: CK 289 vs 308 ms and volume 49 vs 62 ms at
+        order 6, F = 4 (224 columns); CK 98 vs 111 ms and surface 44.0 vs
+        44.3 ms at order 4, F = 8 (160 columns); CK 73 vs 77 ms at order 3,
+        F = 16.
         """
         batch = matrices.ndim - 1
         if operand.ndim > matrices.ndim:
             operand = operand.reshape(operand.shape[:batch] + (-1,))
             out = out.reshape(out.shape[:batch] + (-1,))
-        n = operand.shape[-1]
-        if n > 128:
-            # wide folded column counts fall off a serial-GEMM performance
-            # cliff (measured ~2.5x per column beyond ~128 columns for the
-            # small star/flux blocks); chunking the column axis keeps each
-            # GEMM on the fast path and is bitwise free -- every output
-            # column's accumulation over j is untouched
-            n_chunks = -(n // -128)
-            step = -(n // -n_chunks)
-            for start in range(0, n, step):
-                np.matmul(
-                    matrices,
-                    operand[..., start : start + step],
-                    out=out[..., start : start + step],
-                )
-            return
         np.matmul(matrices, operand, out=out)
 
     def _basis_apply(self, x, matrix, out=None):
@@ -809,218 +825,157 @@ class FastBackend(OptimizedBackend):
             return np.matmul(x, matrix, out=out)
         return np.matmul(matrix.T, x, out=out)
 
-    def _star_elastic_apply(self, data, ops, tmp, out, ws, sign):
-        """Fused ``out[:, :9] = sign * sum_c star[c] @ tmp[c]``."""
-        dtype = tmp.dtype
-        if data.star_e_blocks:
-            stress = self._scratch(ws, "star_stress_out", (3,) + out[:, :6].shape, dtype)
-            veloc = self._scratch(ws, "star_veloc_out", (3,) + out[:, 6:N_ELASTIC].shape, dtype)
-            self._bmm(ops["star_stress"], tmp[:, :, 6:N_ELASTIC], stress)
-            self._bmm(ops["star_veloc"], tmp[:, :, :6], veloc)
-            targets = ((out[:, :6], stress), (out[:, 6:N_ELASTIC], veloc))
-        else:  # dense fallback
-            full = self._scratch(ws, "star_full_out", (3,) + out[:, :N_ELASTIC].shape, dtype)
-            self._bmm(ops["star_full"], tmp, full)
-            targets = ((out[:, :N_ELASTIC], full),)
-        for target, parts in targets:
-            np.add(parts[0], parts[1], out=target)
-            target += parts[2]
-            if sign < 0:
-                np.negative(target, out=target)
+    def _element_operator(self, disc, elements, ws):
+        """The combined per-element operator ``A`` of a batch (cached).
 
-    def _star_anelastic_apply(self, data, ops, tmp, an_parts, an_common):
-        if data.star_a_velocity:
-            self._bmm(ops["star_a"], tmp[:, :, 6:N_ELASTIC], an_parts)
-        else:
-            self._bmm(ops["star_a"], tmp, an_parts)
-        np.add(an_parts[0], an_parts[1], out=an_common)
-        an_common += an_parts[2]
-
-    def _coupling_apply(self, data, ops, mem, out, ws):
-        coupling = ops["coupling"]
-        n_mech = coupling.shape[1]
-        rows = coupling.shape[2]
-        contrib = self._scratch(
-            ws, "coup_out", (out.shape[0], n_mech, rows) + out.shape[2:], mem.dtype
-        )
-        self._bmm(coupling, mem, contrib)
-        target = out[:, :rows]
-        for l in range(n_mech):
-            target += contrib[:, l]
-
-    def _stiffness_cat(self, cat_t, x, tmp_cat):
-        """All three directional stiffness applications as one wide GEMM.
-
-        ``cat_t`` is the ``(3 B, B)`` concatenation of the transposed
-        stiffness operators; the result lands in ``tmp_cat`` with layout
-        ``(E, 9, 3 B, F)`` and is returned as the ``(3, E, 9, B, F)`` view
-        the star/anelastic applications consume -- the view keeps the
-        ``(B, F)`` block of every batch item contiguous, so the downstream
-        folded GEMMs still run copy-free.
+        ``A`` is ``(E, 9 + 6 m, 27 + 6 m)``.  Its columns are the 27
+        stiffness products ``(x K_c)[v]``, ordered ``(v, c)``, followed by the
+        ``6 m`` memory variables; its rows are the CK right-hand side:
+        ``[-star_e | coupling]`` for the 9 elastic rows and
+        ``[-omega_l star_a | -omega_l I]`` for mechanism ``l``.  The volume
+        kernel reuses it unchanged by negating its stiffness operators.
+        Filled in place, one direction / mechanism gather at a time, so no
+        full-size temporary is built next to it.
         """
-        np.matmul(cat_t, x, out=tmp_cat)
-        E, n_vars, three_b = tmp_cat.shape[:3]
-        split = tmp_cat.reshape((E, n_vars, 3, three_b // 3) + tmp_cat.shape[3:])
-        return split.transpose((2, 0, 1, 3) + tuple(range(4, split.ndim)))
+
+        def build():
+            n_mech = disc.n_mechanisms
+            omegas = disc.omegas
+            star_e = disc.star_elastic[elements, 0]
+            E = star_e.shape[0]
+            op = np.zeros(
+                (E, N_ELASTIC + 6 * n_mech, 3 * N_ELASTIC + 6 * n_mech), disc.dtype
+            )
+            stiffness = op[:, :, : 3 * N_ELASTIC].reshape(E, -1, N_ELASTIC, 3)
+            for c in range(3):
+                if c:
+                    star_e = disc.star_elastic[elements, c]
+                np.negative(star_e, out=stiffness[:, :N_ELASTIC, :, c])
+                if n_mech:
+                    star_a = disc.star_anelastic[elements, c]
+                    for l in range(n_mech):
+                        rows = slice(N_ELASTIC + 6 * l, N_ELASTIC + 6 * (l + 1))
+                        np.multiply(star_a, -omegas[l], out=stiffness[:, rows, :, c])
+            for l in range(n_mech):
+                cols = slice(3 * N_ELASTIC + 6 * l, 3 * N_ELASTIC + 6 * (l + 1))
+                op[:, :N_ELASTIC, cols] = disc.coupling[elements, l]
+            diag = np.arange(6 * n_mech)
+            op[:, N_ELASTIC + diag, 3 * N_ELASTIC + diag] = -np.repeat(omegas, 6)
+            return op
+
+        return self._cached(ws, "element_op", elements, build)
+
+    def _apply_element_operator(self, disc, x, k_cat, elements, out, ws):
+        """``out = A @ [x[:, :9] K_cat ; x[:, 9:]]`` for a scalar or fused batch.
+
+        The operand ``W`` is one ``(E, 27 + 6 m, B[, f])`` scratch: the
+        memory rows are copied in, and the stiffness products are written in
+        place into rows 0..26 through their ``(E, 9, 3 B[, f])`` view -- the
+        only line that differs between scalar and fused batches (see
+        :meth:`_basis_apply`).  One batched GEMM then applies ``A``.
+        """
+        op = self._element_operator(disc, elements, ws)
+        E = x.shape[0]
+        fused = x.shape[3:]
+        w = self._scratch(ws, "op_in", (E, op.shape[2]) + x.shape[2:], x.dtype)
+        w[:, 3 * N_ELASTIC :] = x[:, N_ELASTIC:]
+        products = w[:, : 3 * N_ELASTIC].reshape((E, N_ELASTIC, -1) + fused)
+        self._basis_apply(x[:, :N_ELASTIC], k_cat, out=products)
+        self._bmm(op, w, out)
 
     def compute_time_derivatives(self, disc, dofs, elements, ws=None):
-        """Fused batches run the CK loop on concatenated stiffness GEMMs."""
+        """CK derivatives: per iteration one copy and two GEMMs."""
         if isinstance(elements, slice):
             batch_shape = dofs[elements].shape
         else:
             batch_shape = (len(elements),) + dofs.shape[1:]
-        fused = batch_shape[3:]
-        if not fused:
-            return super().compute_time_derivatives(disc, dofs, elements, ws)
-        order = disc.order
-        stack = self._scratch(ws, "derivs", (order,) + batch_shape, dofs.dtype)
+        stack = self._scratch(ws, "derivs", (disc.order,) + batch_shape, dofs.dtype)
         stack[0] = dofs[elements]
-        derivatives = [stack[d] for d in range(order)]
-        if order == 1:
-            return derivatives
-
-        data, ops = self._volume_ops(disc, elements, ws)
-        n_mech = disc.n_mechanisms
-
-        E = batch_shape[0]
-        n_basis = disc.n_basis
-        dtype = dofs.dtype
-        tmp_cat = self._scratch(
-            ws, "ck_tmp_cat", (E, N_ELASTIC, 3 * n_basis) + fused, dtype
-        )
-        if n_mech:
-            an_parts = self._scratch(ws, "ck_an", (3, E, 6, n_basis) + fused, dtype)
-            an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
-            neg_omegas = (-disc.omegas).reshape((n_mech, 1, 1) + (1,) * len(fused))
-
-        for d in range(1, order):
-            current = stack[d - 1]
-            nxt = stack[d]
-            tmp = self._stiffness_cat(
-                data.k_time_cat_t, current[:, :N_ELASTIC], tmp_cat
-            )
-            self._star_elastic_apply(data, ops, tmp, nxt, ws, sign=-1.0)
-            if n_mech:
-                self._star_anelastic_apply(data, ops, tmp, an_parts, an_common)
-                mem_prev = current[:, N_ELASTIC:].reshape(
-                    (E, n_mech, 6, n_basis) + fused
-                )
-                self._coupling_apply(data, ops, mem_prev, nxt, ws)
-                mem_next = nxt[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-                np.add(an_common[:, None], mem_prev, out=mem_next)
-                mem_next *= neg_omegas
-        return derivatives
+        k_cat = self._disc_data(disc).k_time_cat
+        for d in range(1, disc.order):
+            self._apply_element_operator(disc, stack[d - 1], k_cat, elements, stack[d], ws)
+        return list(stack)
 
     def volume_kernel(self, disc, time_integrated, elements, ws=None):
-        """Fused batches run the volume kernel on a concatenated GEMM too."""
-        fused = time_integrated.shape[3:]
-        if not fused:
-            return super().volume_kernel(disc, time_integrated, elements, ws)
-        data, ops = self._volume_ops(disc, elements, ws)
-        omegas = disc.omegas
-        n_mech = disc.n_mechanisms
-
-        te = time_integrated[:, :N_ELASTIC]
-        E = time_integrated.shape[0]
-        n_basis = time_integrated.shape[2]
-        dtype = time_integrated.dtype
-        out = self._scratch(ws, "vol_out", time_integrated.shape, dtype)
-
-        tmp_cat = self._scratch(
-            ws, "ck_tmp_cat", (E, N_ELASTIC, 3 * n_basis) + fused, dtype
-        )
-        tmp = self._stiffness_cat(data.k_vol_cat_t, te, tmp_cat)
-        self._star_elastic_apply(data, ops, tmp, out, ws, sign=1.0)
-        if n_mech:
-            an_parts = self._scratch(ws, "ck_an", (3, E, 6, n_basis) + fused, dtype)
-            an_common = self._scratch(ws, "ck_an_common", (E, 6, n_basis) + fused, dtype)
-            self._star_anelastic_apply(data, ops, tmp, an_parts, an_common)
-            mem_te = time_integrated[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-            self._coupling_apply(data, ops, mem_te, out, ws)
-            mem_out = out[:, N_ELASTIC:].reshape((E, n_mech, 6, n_basis) + fused)
-            np.subtract(an_common[:, None], mem_te, out=mem_out)
-            mem_out *= omegas.reshape((n_mech, 1, 1) + (1,) * len(fused))
-        else:
-            out[:, N_ELASTIC:] = 0.0
+        """The CK operator applied once with the negated volume stiffness."""
+        out = self._scratch(ws, "vol_out", time_integrated.shape, time_integrated.dtype)
+        k_cat = self._disc_data(disc).k_vol_cat
+        self._apply_element_operator(disc, time_integrated, k_cat, elements, out, ws)
         return out
 
-    def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
-        """Surface kernels with fused per-face accumulation.
+    def time_integrate(self, derivatives, t_start, t_end, ws=None, key="ti"):
+        """Taylor integration as one contraction of the factors with the stack.
 
-        The four flux solves run as one ``(E, 4)``-batched GEMM and the four
-        ``fhat`` back-projections collapse into a single contraction over
-        ``(face, face_basis)``; the anelastic mechanisms share one common
-        face-summed contribution scaled per ``omega_l``.
+        ``derivatives`` are the ``(O, ...)`` stack's slices (or their
+        ``[:, :9]`` elastic views, as the LTS buffers pass them); the list
+        is read back as one strided ``(O, E, n)`` view and contracted over
+        ``O`` by one element-batched GEMV (measured faster than a flat
+        ``np.dot`` over the contiguous full stack too, and it needs no
+        contiguity).
         """
-        fhat = disc.fhat  # (4, F, B)
+        if t_end < t_start:
+            raise ValueError("t_end must be >= t_start")
+        first = derivatives[0]
+        factors = np.array(
+            [
+                (t_end ** (d + 1) - t_start ** (d + 1)) / math.factorial(d + 1)
+                for d in range(len(derivatives))
+            ],
+            dtype=first.dtype,
+        )
+        result = self._scratch(ws, key, first.shape, first.dtype)
+        stack = _strided_stack(derivatives)
+        if stack is None:  # not slices of one stack: contract a copy
+            stack = np.stack(derivatives)
+        E = first.shape[0]
+        np.matmul(
+            factors,
+            stack.reshape(len(derivatives), E, -1).transpose(1, 0, 2),
+            out=result.reshape(E, -1),
+        )
+        return result
+
+    def _surface_kernel(self, disc, data, ops, face_coeffs, ws, prefix):
+        """Surface kernels: per variable block one flux GEMM, one projection.
+
+        The anelastic mechanisms share one face-summed contribution, built
+        in mechanism 0's rows and scaled per ``omega_l`` in place.
+        """
         omegas = disc.omegas
         n_mech = disc.n_mechanisms
         E = face_coeffs.shape[0]
         fused = face_coeffs.shape[4:]
-        n_basis = disc.n_basis
-        dtype = face_coeffs.dtype
-
         out = self._scratch(
-            ws, prefix + "_out", (E, disc.n_vars, n_basis) + fused, dtype
+            ws, prefix + "_out", (E, disc.n_vars, disc.n_basis) + fused, face_coeffs.dtype
         )
-        solved = self._scratch(
-            ws, prefix + "_fsolved", (E, 4, N_ELASTIC) + face_coeffs.shape[3:], dtype
-        )
-        self._bmm(ops["flux_e"], face_coeffs, solved)
-        self._fhat_project(data, fhat, solved, out[:, :N_ELASTIC], ws, prefix)
-
+        self._flux_project(data, ops["flux_e"], face_coeffs, out[:, :N_ELASTIC], ws)
         if n_mech:
-            flux_a = ops["flux_a"]
             coeffs_a = (
                 face_coeffs[:, :, 6:N_ELASTIC] if data.flux_a_velocity else face_coeffs
             )
-            solved_a = self._scratch(
-                ws, prefix + "_fsolved_a", (E, 4, 6) + face_coeffs.shape[3:], dtype
-            )
-            self._bmm(flux_a, coeffs_a, solved_a)
-            common = self._scratch(
-                ws, prefix + "_fcommon", (E, 6, n_basis) + fused, dtype
-            )
-            self._fhat_project(data, fhat, solved_a, common, ws, prefix + "_a")
-            for l in range(n_mech):
+            common = out[:, N_ELASTIC : N_ELASTIC + 6]
+            self._flux_project(data, ops["flux_a"], coeffs_a, common, ws)
+            for l in range(n_mech - 1, -1, -1):  # mechanism 0 (common) last
                 target = out[:, N_ELASTIC + 6 * l : N_ELASTIC + 6 * (l + 1)]
                 np.multiply(common, omegas[l], out=target)
-        else:
-            out[:, N_ELASTIC:] = 0.0
         return out
 
-    def _fhat_project(self, data, fhat, solved, out, ws, prefix):
-        """``out[e, v] = sum_{i, f} solved[e, i, v, f] @ fhat[i, f]``.
+    def _flux_project(self, data, flux, face_coeffs, out, ws):
+        """``out[e] = sum_{i, f} (flux[e, i] @ face_coeffs[e, i])[:, f] fhat[i, f]``.
 
-        Scalar batches keep the fused ``(face, face_basis)`` einsum
-        contraction.  Fused batches regroup ``solved`` so the contraction
-        axes are innermost and run ONE flat ``(E V F, 4 f) @ (4 f, B)``
-        GEMM -- the planned einsum broadcasts the fused axis into many
-        narrow GEMMs plus internal transpose copies, which dominated the
-        fused surface kernels.
+        The ``(E, 4)``-batched flux solve writes straight into a
+        ``(E, V, 4, f[, F])`` scratch -- ``(face, face_basis)`` adjacent, so
+        the four ``fhat`` back-projections are ONE ``(4 f, B)`` operator
+        application with the same code for scalar and fused batches (see
+        :meth:`_basis_apply`); no regroup copy.  The scratch is shared by
+        the local and the neighbouring kernels.
         """
-        if solved.ndim == 4:  # no fused axis
-            self._einsum("eivf,ifb->evb", solved, fhat, out=out)
-            return
-        E, _, n_vars, n_face_basis, n_fused = solved.shape
-        n_basis = out.shape[2]
-        regrouped = self._scratch(
-            ws,
-            prefix + "_fhat_in",
-            (E, n_vars, n_fused, 4 * n_face_basis),
-            solved.dtype,
+        E, _, n_rows = flux.shape[:3]
+        fused = face_coeffs.shape[4:]
+        solved = self._scratch(
+            ws, "fsolved", (E, n_rows, 4) + face_coeffs.shape[3:], out.dtype
         )
-        np.copyto(
-            regrouped.reshape(E, n_vars, n_fused, 4, n_face_basis),
-            solved.transpose(0, 2, 4, 1, 3),
+        self._bmm(flux, face_coeffs, solved.swapaxes(1, 2))
+        self._basis_apply(
+            solved.reshape((E, n_rows, -1) + fused), data.fhat_flat, out=out
         )
-        projected = self._scratch(
-            ws, prefix + "_fhat_out", (E, n_vars, n_fused, n_basis), solved.dtype
-        )
-        np.matmul(
-            regrouped.reshape(-1, 4 * n_face_basis),
-            data.fhat_flat,
-            out=projected.reshape(-1, n_basis),
-        )
-        out[...] = projected.transpose(0, 1, 3, 2)
-

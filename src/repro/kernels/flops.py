@@ -7,6 +7,14 @@ sparsity, i.e. 59.8 % of the single-simulation operations are zero-operations
 (Sec. VII-B).  This module derives the analogous counts for this
 implementation's operator set, both for dense (block-sparse) and fully sparse
 execution, so the sparsity benchmark can reproduce the ratio.
+
+The counts are *useful* FLOPs of the kernel math, not the FLOPs a backend
+executes.  The fast backend's CK and volume kernels apply one dense combined
+element operator that also multiplies its explicit zeros (the coupling block
+of the memory columns, the off-diagonal of the ``-omega_l I`` relaxation
+block): at order 4 with ``m = 3`` they execute 1.54x the counted FLOPs of the
+time and volume kernels (1.0x for ``m = 0``).  A per-layer ``gflop_s``
+derived from these counts is therefore useful throughput.
 """
 
 from __future__ import annotations

@@ -156,49 +156,39 @@ class TestFusedGemmFolding:
         expected = np.einsum("eij,ejbf->eibf", matrices, operand)
         _assert_close(out, expected, name="bmm fold")
 
-    def test_bmm_column_chunking_is_bitwise(self):
-        """Chunking the folded column axis must not change a single bit:
-        every output column's accumulation over j is untouched."""
+    def test_bmm_wide_fold_is_bitwise_plain_matmul(self):
+        """A wide folded column axis runs as one GEMM: bit-for-bit the plain
+        matmul of the folded operands (the fold is a view, nothing else)."""
         rng = np.random.default_rng(12)
         matrices = rng.standard_normal((3, 9, 9))
-        # folded width 20 * 8 = 160 > 128 engages the chunked path
         operand = rng.standard_normal((3, 9, 20, 8))
-        chunked = np.empty((3, 9, 20, 8))
-        FastBackend._bmm(matrices, operand, chunked)
-        unchunked = np.matmul(
+        folded = np.empty((3, 9, 20, 8))
+        FastBackend._bmm(matrices, operand, folded)
+        plain = np.matmul(
             matrices, operand.reshape(3, 9, -1)
         ).reshape(3, 9, 20, 8)
-        np.testing.assert_array_equal(chunked, unchunked)
+        np.testing.assert_array_equal(folded, plain)
 
-    def test_stiffness_cat_matches_per_direction_gemms(self, disc):
-        """The concatenated-stiffness single GEMM equals the three separate
-        per-direction contractions of the opt backend."""
-        fast = FastBackend()
-        data = fast._disc_data(disc)
-        rng = np.random.default_rng(13)
-        E, B, F = disc.n_elements, disc.n_basis, 4
-        x = rng.standard_normal((E, N_ELASTIC, B, F))
-        tmp_cat = np.empty((E, N_ELASTIC, 3 * B, F))
-        result = fast._stiffness_cat(data.k_time_cat_t, x, tmp_cat)
-        assert result.shape == (3, E, N_ELASTIC, B, F)
-        for c in range(3):
-            expected = np.einsum("bd,evbf->evdf", disc.k_time[c], x)
-            _assert_close(result[c], expected, name=f"k_time dir {c}")
-        # each direction's (B, F) block must stay contiguous for _bmm folds
-        assert result[0].strides[-2:] == (F * x.itemsize, x.itemsize)
-
-    def test_fhat_project_matches_reference_einsum(self, disc):
-        fast = FastBackend()
-        data = fast._disc_data(disc)
+    @pytest.mark.parametrize("n_fused", [0, 3])
+    def test_surface_kernels_match_reference(self, disc, n_fused):
+        """Flux solve into the projection layout plus one back-projection
+        GEMM, for scalar and fused batches, local and neighbouring side."""
+        ref, fast = ReferenceBackend(), FastBackend()
         ws = fast.make_workspace()
-        rng = np.random.default_rng(14)
-        E, B, F = disc.n_elements, disc.n_basis, 3
-        n_face_basis = disc.fhat.shape[1]
-        solved = rng.standard_normal((E, 4, N_ELASTIC, n_face_basis, F))
-        out = np.empty((E, N_ELASTIC, B, F))
-        fast._fhat_project(data, disc.fhat, solved, out, ws, "t")
-        expected = np.einsum("eivgf,igb->evbf", solved, disc.fhat)
-        _assert_close(out, expected, name="fhat project")
+        elements = np.arange(disc.n_elements)
+        ti = _random_dofs(disc, n_fused, seed=14)
+        traces = ref.project_local_traces(disc, ti[:, :N_ELASTIC], elements)
+        _assert_close(
+            fast.surface_kernel_local(disc, ti, elements, traces, ws=ws),
+            ref.surface_kernel_local(disc, ti, elements, traces),
+            name="local surface",
+        )
+        coeffs = traces[::-1].copy()  # any (E, 4, 9, F[, f]) coefficients
+        _assert_close(
+            fast.surface_kernel_neighbor(disc, coeffs, elements, ws=ws),
+            ref.surface_kernel_neighbor(disc, coeffs, elements),
+            name="neighbour surface",
+        )
 
     def test_fused_and_scalar_slices_agree(self, disc):
         """Fast fused kernels vs the same fast backend run slot-by-slot:
@@ -216,6 +206,143 @@ class TestFusedGemmFolding:
             )
             _assert_close(delta_fused[..., f], delta_f, rtol=1e-11, name=f"slot {f}")
             _assert_close(ti_fused[..., f], ti_f, rtol=1e-11, name=f"ti slot {f}")
+
+
+def _viscoelastic_disc(order, n_mechanisms, precision="f64", n=2):
+    mesh = small_mesh(n=n, jitter=0.1)
+    material = ViscoelasticMaterial(rho=2600.0, vp=4000.0, vs=2000.0, qp=120.0, qs=40.0)
+    table = MaterialTable.homogeneous(material, mesh.n_elements)
+    return Discretization(
+        mesh, table, order=order, n_mechanisms=n_mechanisms, precision=precision
+    )
+
+
+class TestCombinedElementOperator:
+    """The combined per-element operator behind fast CK and volume kernels:
+    one code path for scalar and fused batches, checked per kernel against
+    the reference functions."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[(2, 0), (2, 3), (6, 0), (6, 3)],
+        ids=lambda p: f"O{p[0]}-m{p[1]}",
+    )
+    def disc(self, request):
+        order, n_mechanisms = request.param
+        return _viscoelastic_disc(order, n_mechanisms, n=1)
+
+    @staticmethod
+    def _check_ck_and_volume(disc, n_fused, rtol, seed=0):
+        fast = FastBackend()
+        ws = fast.make_workspace()
+        dofs = _random_dofs(disc, n_fused, seed=seed).astype(disc.dtype)
+        elements = np.arange(disc.n_elements)
+        derivs_r = ReferenceBackend().compute_time_derivatives(disc, dofs, elements)
+        derivs_f = fast.compute_time_derivatives(disc, dofs, elements, ws=ws)
+        assert len(derivs_f) == disc.order
+        for d, (d_r, d_f) in enumerate(zip(derivs_r, derivs_f)):
+            assert d_f.dtype == disc.dtype
+            _assert_close(d_f, d_r, rtol=rtol, name=f"derivative {d}")
+        ti = _random_dofs(disc, n_fused, seed=seed + 1).astype(disc.dtype)
+        vol_r = ReferenceBackend().volume_kernel(disc, ti, elements)
+        vol_f = fast.volume_kernel(disc, ti, elements, ws=ws)
+        _assert_close(vol_f, vol_r, rtol=rtol, name="volume")
+
+    @pytest.mark.parametrize("n_fused", [0, 1, 2, 4])
+    def test_ck_and_volume_match_reference(self, disc, n_fused):
+        # order 6 at F = 4 folds 56 * 4 = 224 GEMM columns
+        self._check_ck_and_volume(disc, n_fused, rtol=1e-12)
+
+    def test_operator_shape_and_blocks(self, disc):
+        fast = FastBackend()
+        op = fast._element_operator(disc, np.arange(disc.n_elements), None)
+        m = disc.n_mechanisms
+        assert op.shape == (disc.n_elements, N_ELASTIC + 6 * m, 27 + 6 * m)
+        # stiffness columns are ordered (variable, direction)
+        stiffness = op[:, :, :27].reshape(disc.n_elements, -1, N_ELASTIC, 3)
+        np.testing.assert_array_equal(
+            stiffness[:, :N_ELASTIC].transpose(0, 3, 1, 2), -disc.star_elastic
+        )
+        for l in range(m):
+            rows = slice(N_ELASTIC + 6 * l, N_ELASTIC + 6 * (l + 1))
+            cols = slice(27 + 6 * l, 27 + 6 * (l + 1))
+            np.testing.assert_array_equal(op[:, :N_ELASTIC, cols], disc.coupling[:, l])
+            np.testing.assert_array_equal(
+                op[:, rows, 27:], np.kron(np.eye(m)[l], -disc.omegas[l] * np.eye(6))[None]
+                .repeat(disc.n_elements, axis=0)
+            )
+
+    def test_dense_structure_disc(self):
+        """The operator is dense anyway: a disc without the exact-zero star
+        structure takes the same path."""
+        dense = _viscoelastic_disc(3, 3, n=1)
+        rng = np.random.default_rng(7)
+        dense.star_elastic = dense.star_elastic + 1e-3 * rng.standard_normal(
+            dense.star_elastic.shape
+        )
+        for n_fused in (0, 4):
+            self._check_ck_and_volume(dense, n_fused, rtol=1e-12, seed=5)
+
+    @pytest.mark.parametrize("n_fused", [0, 4])
+    def test_f32_rung(self, n_fused):
+        """f32 against the f64 reference on the same inputs: the f32 rung
+        of the tolerance ladder."""
+        from repro.verification.golden import DEFAULT_TOLERANCES
+
+        rtol = DEFAULT_TOLERANCES[("fast", "f32")]
+        f64 = _viscoelastic_disc(4, 3)
+        f32 = _viscoelastic_disc(4, 3, precision="f32")
+        fast = FastBackend()
+        dofs = _random_dofs(f64, n_fused, seed=9)
+        elements = np.arange(f64.n_elements)
+        derivs_r = ReferenceBackend().compute_time_derivatives(f64, dofs, elements)
+        derivs_f = fast.compute_time_derivatives(
+            f32, dofs.astype(np.float32), elements, ws=fast.make_workspace()
+        )
+        for d, (d_r, d_f) in enumerate(zip(derivs_r, derivs_f)):
+            assert d_f.dtype == np.float32
+            _assert_close(d_f.astype(np.float64), d_r, rtol=rtol, name=f"f32 derivative {d}")
+        vol_r = ReferenceBackend().volume_kernel(f64, dofs, elements)
+        vol_f = fast.volume_kernel(f32, dofs.astype(np.float32), elements)
+        _assert_close(vol_f.astype(np.float64), vol_r, rtol=rtol, name="f32 volume")
+
+
+class TestFastTimeIntegrate:
+    """One-pass Taylor contraction against the reference loop."""
+
+    @pytest.fixture(scope="class")
+    def disc(self):
+        return _viscoelastic_disc(4, 3)
+
+    @pytest.mark.parametrize("n_fused", [0, 4])
+    def test_full_stack_and_elastic_slices(self, disc, n_fused):
+        fast = FastBackend()
+        ws = fast.make_workspace()
+        dofs = _random_dofs(disc, n_fused, seed=21)
+        elements = np.arange(disc.n_elements)
+        derivs = fast.compute_time_derivatives(disc, dofs, elements, ws=ws)
+        dt = float(disc.time_steps.min())
+        for t_start, t_end in ((0.0, dt), (0.0, 0.5 * dt), (0.25 * dt, dt)):
+            expected = ReferenceBackend().time_integrate(derivs, t_start, t_end)
+            full = fast.time_integrate(derivs, t_start, t_end, ws=ws)
+            _assert_close(full, expected, name="full stack")
+            # the elastic views LtsBuffers.fill integrates for B2
+            elastic = [d[:, :N_ELASTIC] for d in derivs]
+            sliced = fast.time_integrate(elastic, t_start, t_end, ws=ws, key="half")
+            assert sliced.shape == elastic[0].shape
+            _assert_close(sliced, expected[:, :N_ELASTIC], name="elastic slices")
+
+    def test_independent_arrays(self, disc):
+        """Derivatives that are not slices of one stack (the reference
+        backend's lists) integrate correctly too."""
+        derivs = [_random_dofs(disc, seed=s) for s in range(disc.order)]
+        expected = ReferenceBackend().time_integrate(derivs, 0.0, 0.3)
+        _assert_close(FastBackend().time_integrate(derivs, 0.0, 0.3), expected)
+
+    def test_rejects_reversed_interval(self, disc):
+        derivs = [_random_dofs(disc)]
+        with pytest.raises(ValueError):
+            FastBackend().time_integrate(derivs, 1.0, 0.0)
 
 
 class TestSolverToleranceParity:
