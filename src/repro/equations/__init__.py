@@ -21,7 +21,6 @@ from .elastic import (
 from .material import ElasticMaterial, MaterialTable, ViscoelasticMaterial
 from .riemann import (
     FLUX_KINDS,
-    absorbing_ghost_operator,
     anelastic_normal_jacobian,
     elastic_normal_jacobian,
     elastic_rotation_matrix,
@@ -61,5 +60,4 @@ __all__ = [
     "rusanov_flux_matrices",
     "godunov_flux_matrices",
     "free_surface_ghost_operator",
-    "absorbing_ghost_operator",
 ]

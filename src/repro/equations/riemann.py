@@ -2,9 +2,11 @@
 
 The surface kernel (eqs. 10-13) applies element-local "flux solver" matrices
 ``A~-_{k,i}`` (acting on the element's own trace) and ``A~+_{k,i}`` (acting
-on the face-neighbour's trace).  This module provides the single-face
-building blocks; :mod:`repro.kernels.discretization` assembles the per-mesh
-arrays and folds in the ``|S_i| / |J_k|`` geometry scaling.
+on the face-neighbour's trace).  This module provides the building blocks,
+vectorised over a batch of faces (leading dimensions of the material and
+normal arrays; a single face is a batch without leading dimensions);
+:mod:`repro.kernels.discretization` calls them once for all faces of a mesh
+and folds in the ``|S_i| / |J_k|`` geometry scaling.
 
 Two flux choices are implemented:
 
@@ -27,7 +29,7 @@ from __future__ import annotations
 import numpy as np
 
 from .anelastic import anelastic_jacobians
-from .elastic import elastic_jacobians
+from .elastic import JACOBIAN_ENTRIES, elastic_jacobians, jacobian_moduli
 
 __all__ = [
     "FLUX_KINDS",
@@ -40,7 +42,6 @@ __all__ = [
     "rusanov_flux_matrices",
     "godunov_flux_matrices",
     "free_surface_ghost_operator",
-    "absorbing_ghost_operator",
 ]
 
 FLUX_KINDS = ("rusanov", "godunov")
@@ -111,11 +112,21 @@ def elastic_rotation_matrix(normal: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 # ----------------------------------------------------------------------
 # normal Jacobians
 # ----------------------------------------------------------------------
-def elastic_normal_jacobian(lam: float, mu: float, rho: float, normal: np.ndarray) -> np.ndarray:
-    """``A n_x + B n_y + C n_z`` for a single material and unit normal."""
-    jac = elastic_jacobians(lam, mu, rho)
+def elastic_normal_jacobian(lam, mu, rho, normal: np.ndarray) -> np.ndarray:
+    """``A n_x + B n_y + C n_z``, shape ``(..., 9, 9)``.
+
+    Vectorised over the broadcast leading dimensions of the materials and
+    ``normal``.  The three Jacobians have no non-zero entry in common, so
+    every entry is a single product ``n_d * J_d[i, j]`` (exactly the
+    direction sum).
+    """
+    moduli = jacobian_moduli(lam, mu, rho)
     normal = np.asarray(normal, dtype=np.float64)
-    return np.einsum("d,dij->ij", normal, jac)
+    shape = np.broadcast_shapes(moduli["lam"].shape, normal.shape[:-1])
+    out = np.zeros(shape + (9, 9))
+    for direction, row, col, name in JACOBIAN_ENTRIES:
+        out[..., row, col] = normal[..., direction] * moduli[name]
+    return out
 
 
 def anelastic_normal_jacobian(normal: np.ndarray) -> np.ndarray:
@@ -131,37 +142,37 @@ def anelastic_normal_jacobian(normal: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # upwind splitting
 # ----------------------------------------------------------------------
-def elastic_upwind_split(lam: float, mu: float, rho: float) -> tuple[np.ndarray, np.ndarray]:
+def elastic_upwind_split(lam, mu, rho) -> tuple[np.ndarray, np.ndarray]:
     """Positive/negative parts of the 1-D (x-direction) elastic Jacobian.
 
     ``A = A_plus + A_minus`` with ``A_plus`` having the non-negative and
     ``A_minus`` the non-positive wave speeds.  Computed via the numerical
     eigendecomposition of the 9x9 Jacobian (its eigenvalues are
     ``+-v_p, +-v_s (x2)`` and ``0 (x3)``; the matrix is diagonalisable).
+    Vectorised over the broadcast shape of the materials; returns two
+    ``(..., 9, 9)`` arrays.
     """
-    a = elastic_jacobians(lam, mu, rho)[0]
+    a = elastic_jacobians(lam, mu, rho)[..., 0, :, :]
     eigvals, eigvecs = np.linalg.eig(a)
     eigvals = np.real(eigvals)
     eigvecs = np.real(eigvecs)
     inv_vecs = np.linalg.inv(eigvecs)
-    plus = eigvecs @ np.diag(np.maximum(eigvals, 0.0)) @ inv_vecs
-    minus = eigvecs @ np.diag(np.minimum(eigvals, 0.0)) @ inv_vecs
-    return plus, minus
+    diag = np.arange(9)
+    parts = []
+    for clip in (np.maximum, np.minimum):
+        speeds = np.zeros(eigvecs.shape)
+        speeds[..., diag, diag] = clip(eigvals, 0.0)
+        parts.append(eigvecs @ speeds @ inv_vecs)
+    return parts[0], parts[1]
 
 
 # ----------------------------------------------------------------------
-# flux solver matrices for a single face
+# flux solver matrices
 # ----------------------------------------------------------------------
 def rusanov_flux_matrices(
-    lam_local: float,
-    mu_local: float,
-    rho_local: float,
-    lam_neigh: float,
-    mu_neigh: float,
-    rho_neigh: float,
-    normal: np.ndarray,
+    lam_local, mu_local, rho_local, lam_neigh, mu_neigh, rho_neigh, normal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Local Lax-Friedrichs flux matrices ``(G_local, G_neigh)``.
+    """Local Lax-Friedrichs flux matrices ``(G_local, G_neigh)``, each ``(..., 9, 9)``.
 
     The numerical normal flux is ``F* = G_local q_k + G_neigh q_kn`` with
     ``G_local = (A_n(k) + s I)/2`` and ``G_neigh = (A_n(kn) - s I)/2`` where
@@ -171,31 +182,33 @@ def rusanov_flux_matrices(
     an_neigh = elastic_normal_jacobian(lam_neigh, mu_neigh, rho_neigh, normal)
     vp_local = np.sqrt((lam_local + 2.0 * mu_local) / rho_local)
     vp_neigh = np.sqrt((lam_neigh + 2.0 * mu_neigh) / rho_neigh)
-    s = max(vp_local, vp_neigh)
-    eye = np.eye(9)
-    return 0.5 * (an_local + s * eye), 0.5 * (an_neigh - s * eye)
+    s = np.maximum(vp_local, vp_neigh)[..., None, None] * np.eye(9)
+    return 0.5 * (an_local + s), 0.5 * (an_neigh - s)
 
 
 def godunov_flux_matrices(
-    lam_local: float,
-    mu_local: float,
-    rho_local: float,
-    lam_neigh: float,
-    mu_neigh: float,
-    rho_neigh: float,
-    normal: np.ndarray,
+    lam_local, mu_local, rho_local, lam_neigh, mu_neigh, rho_neigh, normal: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Face-aligned upwind flux matrices ``(G_local, G_neigh)``.
+    """Face-aligned upwind flux matrices ``(G_local, G_neigh)``, each ``(..., 9, 9)``.
 
     Outgoing characteristics use the local material's positive split,
     incoming characteristics the neighbour material's negative split
-    (Dumbser & Kaeser style upwinding).
+    (Dumbser & Kaeser style upwinding).  The split is computed once per
+    distinct material of the batch and rotated into each face's frame.
     """
-    t_mat, t_inv = elastic_rotation_matrix(np.asarray(normal, dtype=np.float64))
-    plus_local, _ = elastic_upwind_split(lam_local, mu_local, rho_local)
-    _, minus_neigh = elastic_upwind_split(lam_neigh, mu_neigh, rho_neigh)
-    g_local = t_mat @ plus_local @ t_inv
-    g_neigh = t_mat @ minus_neigh @ t_inv
+    params = [
+        np.asarray(x, dtype=np.float64)
+        for x in (lam_local, mu_local, rho_local, lam_neigh, mu_neigh, rho_neigh)
+    ]
+    normal = np.asarray(normal, dtype=np.float64)
+    shape = np.broadcast_shapes(normal.shape[:-1], *(x.shape for x in params))
+    t_mat, t_inv = elastic_rotation_matrix(np.broadcast_to(normal, shape + (3,)))
+    materials = np.stack([np.broadcast_to(x, shape) for x in params], axis=-1)
+    unique, inverse = np.unique(materials.reshape(-1, 3), axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1, 2)
+    plus, minus = elastic_upwind_split(unique[:, 0], unique[:, 1], unique[:, 2])
+    g_local = t_mat @ plus[inverse[:, 0]].reshape(shape + (9, 9)) @ t_inv
+    g_neigh = t_mat @ minus[inverse[:, 1]].reshape(shape + (9, 9)) @ t_inv
     return g_local, g_neigh
 
 
@@ -203,7 +216,7 @@ def godunov_flux_matrices(
 # boundary ghost operators
 # ----------------------------------------------------------------------
 def free_surface_ghost_operator(normal: np.ndarray) -> np.ndarray:
-    """Ghost-state operator of a traction-free surface.
+    """Ghost-state operator of a traction-free surface, shape ``(..., 9, 9)``.
 
     The ghost trace equals the interior trace with the three traction
     components (``sigma'_nn, sigma'_ns, sigma'_nt`` in the face-aligned
@@ -213,8 +226,3 @@ def free_surface_ghost_operator(normal: np.ndarray) -> np.ndarray:
     t_mat, t_inv = elastic_rotation_matrix(np.asarray(normal, dtype=np.float64))
     mirror = np.diag([-1.0, 1.0, 1.0, -1.0, 1.0, -1.0, 1.0, 1.0, 1.0])
     return t_mat @ mirror @ t_inv
-
-
-def absorbing_ghost_operator(normal: np.ndarray) -> np.ndarray:
-    """Ghost-state operator of a first-order absorbing (outflow) face."""
-    return np.eye(9)

@@ -8,21 +8,26 @@ EDGE's per-partition annotation data written by the preprocessing pipeline:
 * element-local star matrices of the elastic and anelastic Jacobians,
 * the relaxation spectrum and per-element/mechanism coupling matrices ``E_l``,
 * element-local flux solver matrices ``A~+-_{k,i}`` with the geometry factor
-  ``2 |S_i| / |J_k|`` folded in (boundary faces additionally fold in their
-  ghost-state operator),
-* the neighbouring flux matrices ``F_bar``, deduplicated into the small
-  unique set the paper exploits (Sec. III, ref. [31]), and
+  ``2 |S_i| / |J_k|`` folded in (free-surface faces additionally fold in
+  their ghost-state operator),
+* the neighbouring flux matrices ``F_bar``: the small unique set the paper
+  exploits (Sec. III, ref. [31]).  Interior faces are classed by the
+  vertex correspondence with their neighbour (the ordered triple of
+  neighbour-local vertices the face's vertices land on), which allows at
+  most 24 classes, and one matrix is evaluated per class, and
 * per-element CFL time steps.
+
+Setup is whole-mesh array code: the flux solvers of all ``K x 4`` faces are
+built in one batched pass and no operator is assembled per face in Python.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..basis.reference_element import ReferenceElement, reference_element
+from ..basis.reference_element import FACE_VERTEX_IDS, ReferenceElement, reference_element
 from ..equations.anelastic import (
     RelaxationSpectrum,
-    anelastic_jacobians,
     anelastic_lame_parameters,
     anelastic_star_matrices,
     coupling_matrices,
@@ -38,11 +43,7 @@ from ..equations.riemann import (
     rusanov_flux_matrices,
 )
 from ..mesh.geometry import cfl_time_steps
-from ..mesh.tet_mesh import (
-    BOUNDARY_ANALYTIC,
-    BOUNDARY_FREE_SURFACE,
-    TetMesh,
-)
+from ..mesh.tet_mesh import BOUNDARY_FREE_SURFACE, TetMesh
 
 __all__ = ["Discretization", "N_ELASTIC", "PRECISIONS"]
 
@@ -222,124 +223,110 @@ class Discretization:
     # flux solvers
     # ------------------------------------------------------------------
     def _assemble_flux_solvers(self) -> None:
+        """Flux solvers of all ``K x 4`` faces in one batched pass.
+
+        Boundary faces take the element's own material on the exterior side;
+        free-surface faces fold in their ghost-state operator.  Absorbing and
+        analytic faces keep the plain matrices (ghost state = interior trace,
+        resp. injected by the solver at run time).
+        """
         mesh, materials = self.mesh, self.materials
         geometry = mesh.geometry
-        n_elements = mesh.n_elements
         lam, mu, rho = materials.lam, materials.mu, materials.rho
         neighbors = mesh.neighbors
+        outer = np.where(neighbors >= 0, neighbors, np.arange(mesh.n_elements)[:, None])
+        normals = geometry.face_normals  # (K, 4, 3)
 
         flux_builder = rusanov_flux_matrices if self.flux == "rusanov" else godunov_flux_matrices
+        g_local, g_neigh = flux_builder(
+            lam[:, None], mu[:, None], rho[:, None], lam[outer], mu[outer], rho[outer], normals
+        )
+        ga_local = 0.5 * anelastic_normal_jacobian(normals)
+        ga_neigh = ga_local.copy()
 
-        flux_local_e = np.empty((n_elements, 4, 9, 9))
-        flux_neigh_e = np.empty((n_elements, 4, 9, 9))
-        flux_local_a = np.empty((n_elements, 4, 6, 9))
-        flux_neigh_a = np.empty((n_elements, 4, 6, 9))
+        free_surface = (neighbors < 0) & (mesh.boundary_tags == BOUNDARY_FREE_SURFACE)
+        if np.any(free_surface):
+            ghost = free_surface_ghost_operator(normals[free_surface])
+            g_neigh[free_surface] = g_neigh[free_surface] @ ghost
+            ga_neigh[free_surface] = ga_neigh[free_surface] @ ghost
 
-        for k in range(n_elements):
-            for i in range(4):
-                normal = geometry.face_normals[k, i]
-                neighbor = neighbors[k, i]
-                if neighbor >= 0:
-                    mat_n = (lam[neighbor], mu[neighbor], rho[neighbor])
-                else:
-                    mat_n = (lam[k], mu[k], rho[k])
-                g_local, g_neigh = flux_builder(lam[k], mu[k], rho[k], *mat_n, normal)
-
-                an_a = anelastic_normal_jacobian(normal)
-                ga_local = 0.5 * an_a
-                ga_neigh = 0.5 * an_a
-
-                if neighbor < 0:
-                    ghost = self._ghost_operator(k, i, normal)
-                    g_neigh = g_neigh @ ghost
-                    ga_neigh = ga_neigh @ ghost
-
-                # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
-                scale = -2.0 * geometry.face_areas[k, i] / geometry.determinants[k]
-                flux_local_e[k, i] = scale * g_local
-                flux_neigh_e[k, i] = scale * g_neigh
-                flux_local_a[k, i] = scale * ga_local
-                flux_neigh_a[k, i] = scale * ga_neigh
-
-        self.flux_local_elastic = flux_local_e
-        self.flux_neigh_elastic = flux_neigh_e
-        self.flux_local_anelastic = flux_local_a
-        self.flux_neigh_anelastic = flux_neigh_a
-
-    def _ghost_operator(self, element: int, face: int, normal: np.ndarray) -> np.ndarray:
-        tag = self.mesh.boundary_tags[element, face]
-        if tag == BOUNDARY_FREE_SURFACE:
-            return free_surface_ghost_operator(normal)
-        if tag == BOUNDARY_ANALYTIC:
-            # analytic (Dirichlet) ghost states are injected by the solver at
-            # run time; the flux solver matrix stays unmodified.
-            return np.eye(9)
-        return np.eye(9)  # absorbing: ghost state equals the interior trace
+        # weak-form sign and geometry scaling: -2 |S_i| / |J_k|
+        scale = (-2.0 * geometry.face_areas / geometry.determinants[:, None])[..., None, None]
+        for operator in (g_local, g_neigh, ga_local, ga_neigh):
+            operator *= scale
+        self.flux_local_elastic = g_local
+        self.flux_neigh_elastic = g_neigh
+        self.flux_local_anelastic = ga_local
+        self.flux_neigh_anelastic = ga_neigh
 
     # ------------------------------------------------------------------
     # neighbouring flux matrices
     # ------------------------------------------------------------------
     def _assemble_neighbor_flux_matrices(self) -> None:
-        """Build the matrices projecting a neighbour's modal trace onto the
-        local face basis, and deduplicate them.
+        """Build the unique matrices projecting a neighbour's modal trace onto
+        the local face basis, and index every interior face into them.
 
         For conforming affine meshes the composite map (local face
-        parametrisation -> physical space -> neighbour reference element)
-        only depends on which local face of the neighbour is shared and on
-        the vertex correspondence; the set of distinct matrices is therefore
-        tiny (the paper's 12 unique ``F_bar_{j,h}`` under EDGE's canonical
-        vertex ordering; at most 24 for arbitrary orderings).
+        parametrisation -> physical space -> neighbour reference element) is
+        fixed by the vertex correspondence alone: the local face's vertices,
+        in ``FACE_VERTEX_IDS[i]`` order, land on an ordered triple of the
+        neighbour's local vertices, whatever ``i`` is.  Interior faces are
+        therefore classed by that triple -- at most 4 * 3 * 2 = 24 classes
+        (the paper's 12 unique ``F_bar_{j,h}`` when both elements are
+        positively oriented) -- and the projection is evaluated once per
+        class, on its first face in (face outer, element inner) order.
+        Classes are numbered in order of first occurrence.
         """
         mesh = self.mesh
         ref = self.ref
-        n_elements = mesh.n_elements
-        quad = ref.face_quadrature
-        w = quad.weights
-        chi = ref.face_basis_at_quad  # (nqf, F)
         neighbors = mesh.neighbors
-        verts = mesh.vertices[mesh.elements]  # (K, 4, 3)
-        v0 = verts[:, 0]
-        jac = mesh.geometry.jacobians
-        inv_jac = mesh.geometry.inverse_jacobians
+        face_ids, elements = np.nonzero(neighbors.T >= 0)  # face outer, element inner
+        neigh = neighbors[elements, face_ids]
+        shared = mesh.elements[elements[:, None], np.asarray(FACE_VERTEX_IDS)[face_ids]]
+        # neighbour-local position of each shared vertex, packed into one key
+        slots = np.argmax(mesh.elements[neigh][:, None, :] == shared[:, :, None], axis=2)
+        keys = slots @ np.array([16, 4, 1])
+        _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
 
-        unique: list[np.ndarray] = []
-        unique_lookup: dict[bytes, int] = {}
-        index = np.full((n_elements, 4), -1, dtype=np.int64)
-
-        for i in range(4):
-            interior = np.where(neighbors[:, i] >= 0)[0]
-            if len(interior) == 0:
-                continue
-            neigh = neighbors[interior, i]
-            # physical positions of the local face quadrature points
-            ref_pts = ref.face_quad_points[i]  # (nqf, 3)
-            phys = v0[interior, None, :] + np.einsum("kdr,qr->kqd", jac[interior], ref_pts)
-            # pull back into the neighbours' reference elements
-            rel = phys - v0[neigh][:, None, :]
-            xi_neigh = np.einsum("krd,kqd->kqr", inv_jac[neigh], rel)
-            psi = ref.basis.evaluate(xi_neigh.reshape(-1, 3)).reshape(
-                len(interior), quad.n_points, ref.n_basis
-            )
-            fbar = np.einsum("q,kqb,qf->kbf", w, psi, chi)
-
-            # deduplicate by a rounded key but keep the full-precision matrices
-            rounded = np.round(fbar, 9).reshape(len(interior), -1)
-            # round-to-zero avoids -0.0 / +0.0 hash mismatches
-            rounded[rounded == 0.0] = 0.0
-            for row, k in enumerate(interior):
-                key = rounded[row].tobytes()
-                match = unique_lookup.get(key)
-                if match is None:
-                    unique.append(fbar[row])
-                    match = len(unique) - 1
-                    unique_lookup[key] = match
-                index[k, i] = match
-
-        if unique:
-            self.neighbor_flux_matrices = np.stack(unique)
-        else:
-            self.neighbor_flux_matrices = np.zeros((0, ref.n_basis, ref.n_face_basis))
+        index = np.full((mesh.n_elements, 4), -1, dtype=np.int64)
+        index[elements, face_ids] = rank[inverse.reshape(-1)]
         self.neighbor_flux_index = index
+
+        matrices = np.zeros((len(order), ref.n_basis, ref.n_face_basis))
+        firsts = first[order]
+        for i in range(4):
+            at_face = firsts[face_ids[firsts] == i]
+            if len(at_face):
+                matrices[rank[inverse.reshape(-1)[at_face]]] = self._neighbor_flux_projection(
+                    i, elements[at_face], neigh[at_face]
+                )
+        self.neighbor_flux_matrices = matrices
+
+    def _neighbor_flux_projection(
+        self, face: int, elements: np.ndarray, neighbors: np.ndarray
+    ) -> np.ndarray:
+        """``F_bar`` of local face ``face`` of ``elements`` against their
+        ``neighbors``: ``(n, B, F)``, the neighbour's basis sampled at the
+        local face quadrature points, tested with the face basis."""
+        ref = self.ref
+        quad = ref.face_quadrature
+        v0 = self.mesh.vertices[self.mesh.elements[:, 0]]
+        jac = self.mesh.geometry.jacobians
+        inv_jac = self.mesh.geometry.inverse_jacobians
+        # physical positions of the local face quadrature points
+        phys = v0[elements, None, :] + np.einsum(
+            "kdr,qr->kqd", jac[elements], ref.face_quad_points[face]
+        )
+        # pull back into the neighbours' reference elements
+        rel = phys - v0[neighbors][:, None, :]
+        xi_neigh = np.einsum("krd,kqd->kqr", inv_jac[neighbors], rel)
+        psi = ref.basis.evaluate(xi_neigh.reshape(-1, 3)).reshape(
+            len(elements), quad.n_points, ref.n_basis
+        )
+        return np.einsum("q,kqb,qf->kbf", quad.weights, psi, ref.face_basis_at_quad)
 
     # ------------------------------------------------------------------
     # convenience accessors

@@ -26,18 +26,23 @@ __all__ = ["MomentTensorSource", "PointForceSource", "DiscretePointSource", "loc
 
 
 def locate_point(mesh, point: np.ndarray) -> int:
-    """Find the element containing ``point`` (smallest max barycentric excess)."""
+    """Find the element containing ``point``.
+
+    The point is mapped into every element's reference coordinates with one
+    batched solve; the result is the first element whose max barycentric
+    excess is at most ``1e-12``, else the first element with the smallest
+    excess (``-1`` for an empty mesh).
+    """
     point = np.asarray(point, dtype=np.float64)
-    best_element, best_excess = -1, np.inf
-    for k in range(mesh.n_elements):
-        xi = map_physical_to_reference(mesh.vertices, mesh.elements, k, point)[0]
-        excess = max(-xi.min(), xi.sum() - 1.0)
-        if excess < best_excess:
-            best_excess = excess
-            best_element = k
-        if excess <= 1e-12:
-            break
-    return best_element
+    verts = mesh.vertices[mesh.elements]  # (K, 4, 3)
+    v0 = verts[:, 0]
+    jac = np.stack([verts[:, 1] - v0, verts[:, 2] - v0, verts[:, 3] - v0], axis=2)
+    xi = np.linalg.solve(jac, (point - v0)[:, :, None])[:, :, 0]
+    excess = np.maximum(-xi.min(axis=1), xi.sum(axis=1) - 1.0)
+    if len(excess) == 0:
+        return -1
+    inside = np.flatnonzero(excess <= 1e-12)
+    return int(inside[0]) if len(inside) else int(np.argmin(excess))
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from repro.equations.elastic import elastic_jacobians
 from repro.equations.riemann import (
-    absorbing_ghost_operator,
     anelastic_normal_jacobian,
     elastic_normal_jacobian,
     elastic_rotation_matrix,
@@ -126,9 +125,60 @@ class TestFluxMatrices:
         np.testing.assert_array_equal(an[..., :6], 0.0)
 
 
+class TestFaceBatches:
+    """The builders take face-batched arrays; each face of a batch is
+    bit-identical to the same face built alone."""
+
+    @pytest.mark.parametrize("builder", [rusanov_flux_matrices, godunov_flux_matrices])
+    def test_batch_matches_single_faces(self, builder):
+        rng = np.random.default_rng(9)
+        normals = _random_unit_vectors(6, seed=10)
+        lam = LAM * rng.uniform(0.5, 1.5, size=(6, 2))
+        mu = MU * rng.uniform(0.5, 1.5, size=(6, 2))
+        rho = RHO * rng.uniform(0.5, 1.5, size=(6, 2))
+        # repeat one material so the Godunov split is shared between faces
+        lam[3], mu[3], rho[3] = lam[0], mu[0], rho[0]
+        g_local, g_neigh = builder(
+            lam[:, 0], mu[:, 0], rho[:, 0], lam[:, 1], mu[:, 1], rho[:, 1], normals
+        )
+        assert g_local.shape == g_neigh.shape == (6, 9, 9)
+        for f in range(6):
+            single = builder(lam[f, 0], mu[f, 0], rho[f, 0], lam[f, 1], mu[f, 1], rho[f, 1], normals[f])
+            np.testing.assert_array_equal(g_local[f], single[0])
+            np.testing.assert_array_equal(g_neigh[f], single[1])
+
+    def test_materials_broadcast_against_normals(self):
+        normals = _random_unit_vectors(8, seed=11).reshape(2, 4, 3)
+        lam = np.array([[LAM], [0.5 * LAM]])
+        for builder in (rusanov_flux_matrices, godunov_flux_matrices):
+            g_local, _ = builder(lam, MU, RHO, lam, MU, RHO, normals)
+            assert g_local.shape == (2, 4, 9, 9)
+            np.testing.assert_array_equal(
+                g_local[1, 2], builder(0.5 * LAM, MU, RHO, 0.5 * LAM, MU, RHO, normals[1, 2])[0]
+            )
+
+    def test_normal_jacobian_is_direction_sum(self):
+        normals = _random_unit_vectors(5, seed=12)
+        jac = elastic_jacobians(LAM, MU, RHO)
+        an = elastic_normal_jacobian(LAM, MU, RHO, normals)
+        np.testing.assert_array_equal(an, np.einsum("nd,dij->nij", normals, jac))
+
+    def test_upwind_split_batch_matches_single(self):
+        lam = np.array([LAM, 0.7 * LAM])
+        mu = np.array([MU, 0.4 * MU])
+        plus, minus = elastic_upwind_split(lam, mu, RHO)
+        for k in range(2):
+            single_plus, single_minus = elastic_upwind_split(lam[k], mu[k], RHO)
+            np.testing.assert_array_equal(plus[k], single_plus)
+            np.testing.assert_array_equal(minus[k], single_minus)
+
+
 class TestGhostOperators:
-    def test_absorbing_is_identity(self):
-        np.testing.assert_array_equal(absorbing_ghost_operator(np.array([0, 0, 1.0])), np.eye(9))
+    def test_free_surface_batch_matches_single(self):
+        normals = _random_unit_vectors(4, seed=13)
+        batch = free_surface_ghost_operator(normals)
+        for f in range(4):
+            np.testing.assert_array_equal(batch[f], free_surface_ghost_operator(normals[f]))
 
     @given(seed=st.integers(0, 100))
     @settings(max_examples=20, deadline=None)
