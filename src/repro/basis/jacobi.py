@@ -7,7 +7,9 @@ provides
 
 * evaluation of Jacobi polynomials via the three-term recurrence,
 * their first derivatives via the standard derivative identity, and
-* Gauss--Legendre and Gauss--Jacobi quadrature rules on ``[-1, 1]``.
+* Gauss--Legendre and Gauss--Jacobi quadrature rules on ``[-1, 1]``
+  (Golub--Welsch: eigenpairs of the symmetric tridiagonal Jacobi matrix of
+  the three-term recurrence).
 
 Everything is vectorised over the evaluation points and uses float64
 throughout; the recurrences are numerically benign for the small orders
@@ -16,8 +18,9 @@ throughout; the recurrences are numerically benign for the small orders
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import roots_jacobi, roots_legendre
 
 __all__ = [
     "jacobi",
@@ -80,21 +83,37 @@ def jacobi_derivative(n: int, alpha: float, beta: float, x: np.ndarray) -> np.nd
 
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss--Legendre nodes and weights on ``[-1, 1]`` (exact for degree ``2n-1``)."""
-    if n < 1:
-        raise ValueError("quadrature rule needs at least one point")
-    x, w = roots_legendre(n)
-    return np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    return gauss_jacobi(n, 0.0, 0.0)
 
 
 def gauss_jacobi(n: int, alpha: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss--Jacobi nodes and weights on ``[-1, 1]``.
+    """Gauss--Jacobi nodes (ascending) and weights on ``[-1, 1]``.
 
     The weights integrate ``f(x) * (1-x)^alpha * (1+x)^beta`` exactly for
-    polynomials ``f`` of degree up to ``2n - 1``.
+    polynomials ``f`` of degree up to ``2n - 1``.  Golub--Welsch: the nodes
+    are the eigenvalues of the symmetric tridiagonal Jacobi matrix of the
+    orthonormal recurrence, the weights ``mu_0 v_0^2`` with ``v_0`` the first
+    eigenvector components and ``mu_0`` the integral of the weight function.
     """
     if n < 1:
         raise ValueError("quadrature rule needs at least one point")
-    if alpha == 0.0 and beta == 0.0:
-        return gauss_legendre(n)
-    x, w = roots_jacobi(n, alpha, beta)
-    return np.asarray(x, dtype=np.float64), np.asarray(w, dtype=np.float64)
+    k = np.arange(n, dtype=np.float64)
+    ab = alpha + beta
+    s = 2.0 * k + ab  # 2k + alpha + beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (beta * beta - alpha * alpha) / (s * (s + 2.0))
+    # k = 0 separately: the general form is 0/0 when alpha + beta = 0
+    diag[0] = (beta - alpha) / (ab + 2.0)
+    j = k[1:]
+    s = s[1:]
+    off = np.sqrt(
+        4.0 * j * (j + alpha) * (j + beta) * (j + ab) / (s * s * (s + 1.0) * (s - 1.0))
+    )
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    mu0 = (
+        2.0 ** (ab + 1.0)
+        * math.gamma(alpha + 1.0)
+        * math.gamma(beta + 1.0)
+        / math.gamma(ab + 2.0)
+    )
+    return nodes, mu0 * vectors[0] ** 2

@@ -30,11 +30,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 __all__ = [
     "RelaxationSpectrum",
     "fit_constant_q",
+    "nnls",
     "quality_factor_of_spectrum",
     "anelastic_lame_parameters",
     "coupling_matrices",
@@ -103,8 +103,42 @@ def fit_constant_q(
     )
     design = (omegas[None, :] * sample[:, None]) / (omegas[None, :] ** 2 + sample[:, None] ** 2)
     target = np.ones(len(sample))
-    y_unit, _residual = nnls(design, target)
+    y_unit = nnls(design, target)
     return RelaxationSpectrum(omegas=omegas, y_unit=y_unit)
+
+
+def nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Non-negative least squares ``argmin ||a x - b||, x >= 0`` (Lawson & Hanson).
+
+    Active-set method: variables move from the active (zero) set to the
+    passive set while the gradient ``a^T (b - a x)`` has a positive entry;
+    a least-squares solve over the passive set that leaves the feasible
+    region is cut back to its boundary and the zeroed variables return to
+    the active set.
+    """
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    n = a.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * np.finfo(np.float64).eps * np.linalg.norm(a, 1) * max(a.shape)
+    for _ in range(3 * n):
+        gradient = a.T @ (b - a @ x)
+        if passive.all() or gradient[~passive].max() <= tol:
+            break
+        passive[np.argmax(np.where(passive, -np.inf, gradient))] = True
+        while True:
+            z = np.zeros(n)
+            z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+            if np.all(z[passive] > 0.0):
+                x = z
+                break
+            cut = passive & (z <= 0.0)
+            step = np.min(x[cut] / (x[cut] - z[cut]))
+            x = x + step * (z - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+    return x
 
 
 def quality_factor_of_spectrum(

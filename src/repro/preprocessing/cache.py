@@ -55,7 +55,7 @@ __all__ = [
 #: bumped whenever a stage's serialised layout (or anything influencing its
 #: artifact bytes) changes; part of every stage key, so stale cache
 #: directories miss instead of poisoning new runs
-CACHE_FORMAT_VERSION = 1
+CACHE_FORMAT_VERSION = 2
 
 #: the cacheable pipeline stages, in dependency order
 STAGES = ("mesh", "materials", "operators", "clustering", "partition")

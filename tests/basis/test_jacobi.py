@@ -98,3 +98,24 @@ class TestQuadrature:
             gauss_legendre(0)
         with pytest.raises(ValueError):
             gauss_jacobi(0, 1.0, 0.0)
+
+
+class TestAgainstScipy:
+    """The Golub--Welsch rules agree with scipy's to roundoff."""
+
+    @pytest.mark.parametrize("alpha, beta", [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0), (0.5, 1.5)])
+    def test_gauss_jacobi_matches_scipy(self, alpha, beta):
+        special = pytest.importorskip("scipy.special")
+        for n in range(1, 13):
+            x, w = gauss_jacobi(n, alpha, beta)
+            x_ref, w_ref = special.roots_jacobi(n, alpha, beta)
+            np.testing.assert_allclose(x, x_ref, rtol=0, atol=5e-14)
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=5e-14)
+
+    def test_gauss_legendre_matches_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        for n in range(1, 13):
+            x, w = gauss_legendre(n)
+            x_ref, w_ref = special.roots_legendre(n)
+            np.testing.assert_allclose(x, x_ref, rtol=0, atol=5e-14)
+            np.testing.assert_allclose(w, w_ref, rtol=0, atol=5e-14)

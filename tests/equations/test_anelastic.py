@@ -10,6 +10,7 @@ from repro.equations.anelastic import (
     coupling_matrices,
     fit_constant_q,
     n_anelastic_vars,
+    nnls,
     quality_factor_of_spectrum,
 )
 
@@ -58,6 +59,38 @@ class TestConstantQFit:
             q = quality_factor_of_spectrum(spectrum.omegas, y, freqs)
             errors.append(np.max(np.abs(q - 50.0) / 50.0))
         assert errors[2] < errors[0]
+
+
+class TestNnls:
+    """The Lawson--Hanson solver agrees with scipy's to roundoff."""
+
+    @pytest.mark.parametrize("band", [(0.1, 10.0), (0.04, 1.6), (0.5, 5.0)])
+    @pytest.mark.parametrize("n_mechanisms", [1, 3, 5])
+    def test_constant_q_design_matches_scipy(self, band, n_mechanisms):
+        optimize = pytest.importorskip("scipy.optimize")
+        omegas = 2.0 * np.pi * np.logspace(np.log10(band[0]), np.log10(band[1]), n_mechanisms)
+        sample = 2.0 * np.pi * np.logspace(np.log10(band[0]), np.log10(band[1]), 24)
+        design = (omegas * sample[:, None]) / (omegas**2 + sample[:, None] ** 2)
+        target = np.ones(len(sample))
+        np.testing.assert_allclose(
+            nnls(design, target), optimize.nnls(design, target)[0], rtol=0, atol=1e-13
+        )
+        spectrum = fit_constant_q(band, n_mechanisms)
+        np.testing.assert_allclose(spectrum.y_unit, optimize.nnls(design, target)[0], atol=1e-13)
+
+    def test_random_problems_match_scipy(self):
+        """Random problems exercise the active-set cut-back (negative entries)."""
+        optimize = pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(0)
+        clipped = 0
+        for _ in range(100):
+            a = rng.normal(size=(rng.integers(3, 15), rng.integers(1, 8)))
+            b = rng.normal(size=a.shape[0])
+            x = nnls(a, b)
+            assert np.all(x >= 0.0)
+            clipped += np.any(x == 0.0)
+            np.testing.assert_allclose(x, optimize.nnls(a, b)[0], rtol=0, atol=1e-12)
+        assert clipped > 0
 
 
 class TestAnelasticModuli:
