@@ -45,7 +45,7 @@ from ..core.lts_scheduler import schedule_cycle
 from ..kernels.backend import make_backend
 from ..kernels.discretization import Discretization
 from ..observability import TelemetryConfig, merge_snapshots, peak_rss_mb
-from ..parallel.communicator import MessageStats, pair_key
+from ..parallel.communicator import ORPHAN_POLL_S, MessageStats, orphaned, pair_key
 from ..parallel.exchange import HaloIndex
 from ..parallel.process_comm import ProcessCommunicator
 from ..parallel.shm_comm import ShmCommunicator, ShmRing, create_ring_segment, ring_capacity
@@ -62,9 +62,6 @@ __all__ = ["ProcessLtsEngine", "COMM_KINDS"]
 #: shared-memory ring buffers and ships only tokens
 COMM_KINDS = ("queue", "shm")
 
-#: how often an idle worker interrupts its command wait to check whether it
-#: has been orphaned (parent SIGKILLed and the worker reparented)
-_ORPHAN_POLL_S = 5.0
 
 
 def _pid_alive(pid: int) -> bool:
@@ -116,6 +113,7 @@ def _build_communicator(
     outbound: dict,
     ring_names: dict | None,
     timeout: float,
+    parent_pid: int,
 ):
     """Worker-side communicator construction for either transport.
 
@@ -125,7 +123,9 @@ def _build_communicator(
     safety net armed).
     """
     if comm_kind == "queue":
-        return ProcessCommunicator(rank, n_ranks, inbound, outbound, timeout=timeout)
+        return ProcessCommunicator(
+            rank, n_ranks, inbound, outbound, timeout=timeout, parent_pid=parent_pid
+        )
     tx = {
         dst: ShmRing.attach(name)
         for (src, dst), name in ring_names.items()
@@ -137,7 +137,14 @@ def _build_communicator(
         if dst == rank
     }
     return ShmCommunicator(
-        rank, n_ranks, inbound, outbound, tx=tx, rx=rx, timeout=timeout
+        rank,
+        n_ranks,
+        inbound,
+        outbound,
+        tx=tx,
+        rx=rx,
+        timeout=timeout,
+        parent_pid=parent_pid,
     )
 
 
@@ -169,8 +176,15 @@ def _rank_worker(
     comm_timeout: float,
     telemetry_config: TelemetryConfig,
     telemetry_epoch: float,
+    parent_pid: int,
 ) -> None:
-    """One rank's event loop: build the local solver, serve parent commands."""
+    """One rank's event loop: build the local solver, serve parent commands.
+
+    ``parent_pid`` is the spawning process's pid, taken before the fork: a
+    parent SIGKILLed while the worker is still setting up must still count
+    as gone (``os.getppid()`` read in the worker would already be the
+    reaper's pid).
+    """
     comm = None
     try:
         comm = _build_communicator(
@@ -181,6 +195,7 @@ def _rank_worker(
             outbound,
             ring_names,
             comm_timeout,
+            parent_pid,
         )
         receivers = _shim_receiver_set(shims)
         # the lane uses the parent's trace epoch: perf_counter is the
@@ -202,15 +217,14 @@ def _rank_worker(
         #: replies carry only the increment, so the per-cycle IPC volume
         #: stays constant over the run instead of growing with its length
         reported: dict[str, int] = {}
-        parent_pid = os.getppid()
         while True:
             # never block on ctrl.recv() without a timeout: under the fork
             # start method every worker also inherits the parent ends of its
             # *peers'* ctrl pipes, so a SIGKILLed parent produces no EOF and
             # a plain recv() would orphan the workers forever.  Poll, and
             # treat reparenting as the shutdown signal.
-            if not ctrl.poll(_ORPHAN_POLL_S):
-                if os.getppid() != parent_pid:
+            if not ctrl.poll(ORPHAN_POLL_S):
+                if orphaned(parent_pid):
                     break
                 continue
             command, payload = ctrl.recv()
@@ -512,6 +526,7 @@ class ProcessLtsEngine:
                     self.comm_timeout,
                     self.telemetry_config,
                     self._telemetry_epoch,
+                    os.getpid(),
                 ),
                 daemon=True,
             )

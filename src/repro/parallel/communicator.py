@@ -11,12 +11,53 @@ MPI the real solver needs (point-to-point send/recv and barriers).
 
 from __future__ import annotations
 
+import os
+import queue as _queue
+import time
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["MessageStats", "SimulatedCommunicator", "pair_key", "unflushed_note"]
+__all__ = [
+    "ORPHAN_POLL_S",
+    "MessageStats",
+    "SimulatedCommunicator",
+    "orphaned",
+    "pair_key",
+    "unflushed_note",
+    "wait_inbound",
+]
+
+#: how often a blocked rank worker interrupts a wait to check whether it has
+#: been orphaned (parent SIGKILLed and the worker reparented)
+ORPHAN_POLL_S = 5.0
+
+
+def orphaned(parent_pid: int | None) -> bool:
+    """Whether this process was reparented away from ``parent_pid``
+    (``None``: not a rank worker, never orphaned)."""
+    return parent_pid is not None and os.getppid() != parent_pid
+
+
+def wait_inbound(inbound, rank: int, deadline: float, parent_pid: int | None):
+    """The next item of a rank's inbound queue, waiting until the monotonic
+    ``deadline`` at the latest.
+
+    The wait wakes every :data:`ORPHAN_POLL_S` to check the parent: a worker
+    whose parent was SIGKILLed raises instead of waiting out the transport
+    timeout for a peer that will never be commanded to send.  Raises
+    :class:`queue.Empty` at the deadline.
+    """
+    while True:
+        wait = min(ORPHAN_POLL_S, deadline - time.monotonic())
+        try:
+            return inbound.get(timeout=max(0.0, wait))
+        except _queue.Empty:
+            if orphaned(parent_pid):
+                raise RuntimeError(f"rank {rank}: parent process is gone") from None
+            if time.monotonic() >= deadline:
+                raise
 
 
 def pair_key(src: int, dst: int) -> str:

@@ -30,12 +30,13 @@ simulated communicator -- and both must match the machine model exactly.
 from __future__ import annotations
 
 import queue as _queue
+import time
 from collections import defaultdict, deque
 from itertools import groupby
 
 import numpy as np
 
-from .communicator import MessageStats, unflushed_note
+from .communicator import MessageStats, unflushed_note, wait_inbound
 
 __all__ = ["ProcessCommunicator"]
 
@@ -50,6 +51,7 @@ class ProcessCommunicator:
         inbound,
         outbound: dict[int, object],
         timeout: float = 120.0,
+        parent_pid: int | None = None,
     ):
         if not 0 <= rank < n_ranks:
             raise ValueError(f"rank {rank} out of range (n_ranks = {n_ranks})")
@@ -58,6 +60,9 @@ class ProcessCommunicator:
         self._inbound = inbound
         self._outbound = outbound
         self.timeout = timeout
+        #: pid of the process that spawned this rank worker; blocking waits
+        #: give up once the worker is reparented away from it
+        self.parent_pid = parent_pid
         self._mailboxes: dict[tuple[int, int], deque[np.ndarray]] = defaultdict(deque)
         self._staged: dict[int, list[tuple[int, np.ndarray]]] = defaultdict(list)
         self.stats = MessageStats()
@@ -101,9 +106,10 @@ class ProcessCommunicator:
         if dst != self.rank:
             raise ValueError(f"rank {self.rank} cannot receive for rank {dst}")
         mailbox = self._mailboxes[(src, tag)]
+        deadline = time.monotonic() + self.timeout
         while not mailbox:
             try:
-                self._ingest(self._inbound.get(timeout=self.timeout))
+                self._ingest(wait_inbound(self._inbound, self.rank, deadline, self.parent_pid))
             except _queue.Empty:
                 raise RuntimeError(
                     f"rank {self.rank}: no halo payload from rank {src} (tag {tag}) "

@@ -55,7 +55,7 @@ from multiprocessing.shared_memory import SharedMemory
 
 import numpy as np
 
-from .communicator import MessageStats, unflushed_note
+from .communicator import MessageStats, orphaned, unflushed_note, wait_inbound
 
 __all__ = ["ShmCommunicator", "ShmRing", "ring_capacity", "create_ring_segment"]
 
@@ -177,6 +177,7 @@ class ShmCommunicator:
         tx: dict[int, ShmRing],
         rx: dict[int, ShmRing],
         timeout: float = 120.0,
+        parent_pid: int | None = None,
     ):
         if not 0 <= rank < n_ranks:
             raise ValueError(f"rank {rank} out of range (n_ranks = {n_ranks})")
@@ -187,6 +188,9 @@ class ShmCommunicator:
         self._tx = dict(tx)
         self._rx = dict(rx)
         self.timeout = timeout
+        #: pid of the process that spawned this rank worker; blocking waits
+        #: give up once the worker is reparented away from it
+        self.parent_pid = parent_pid
         self._mailboxes: dict[tuple[int, int], deque[np.ndarray]] = defaultdict(deque)
         self._staged: dict[int, list[tuple[int, np.ndarray]]] = defaultdict(list)
         self.stats = MessageStats()
@@ -270,6 +274,8 @@ class ShmCommunicator:
         while allocation is None:
             self._ship(dst, tokens)
             self._drain()
+            if orphaned(self.parent_pid):
+                raise RuntimeError(f"rank {self.rank}: parent process is gone")
             if time.monotonic() > deadline:
                 raise RuntimeError(
                     f"rank {self.rank}: ring to rank {dst} stayed full for "
@@ -291,9 +297,10 @@ class ShmCommunicator:
         if dst != self.rank:
             raise ValueError(f"rank {self.rank} cannot receive for rank {dst}")
         mailbox = self._mailboxes[(src, tag)]
+        deadline = time.monotonic() + self.timeout
         while not mailbox:
             try:
-                self._ingest(self._inbound.get(timeout=self.timeout))
+                self._ingest(wait_inbound(self._inbound, self.rank, deadline, self.parent_pid))
             except _queue.Empty:
                 raise RuntimeError(
                     f"rank {self.rank}: no halo payload from rank {src} "

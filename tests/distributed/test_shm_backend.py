@@ -28,7 +28,8 @@ import numpy as np
 import pytest
 
 from repro.distributed import ProcessLtsEngine
-from repro.distributed.process_engine import _ORPHAN_POLL_S, _reap_stale_segments
+from repro.distributed.process_engine import _reap_stale_segments
+from repro.parallel.communicator import ORPHAN_POLL_S
 from repro.parallel.shm_comm import create_ring_segment
 from repro.scenarios import ScenarioRunner, ScenarioSpec, make_runner
 from repro.scenarios.cli import main as cli_main
@@ -37,6 +38,18 @@ from .conftest import assert_cross_rank_equal
 from .test_process_backend import tiny_loh3, single_run, serial_run  # noqa: F401
 
 pytestmark = pytest.mark.distributed
+
+
+def _pids_alive(pids) -> list[int]:
+    """The subset of ``pids`` that still exist."""
+    live = []
+    for pid in pids:
+        try:
+            os.kill(pid, 0)
+        except ProcessLookupError:
+            continue
+        live.append(pid)
+    return live
 
 
 def _repro_segments() -> list[str]:
@@ -204,26 +217,52 @@ class TestSegmentLifecycle:
         proc.send_signal(signal.SIGKILL)
         proc.wait(timeout=60)
 
-        orphan_deadline = time.monotonic() + 6 * _ORPHAN_POLL_S
-
-        def pids_alive(pids) -> list[int]:
-            live = []
-            for pid in pids:
-                try:
-                    os.kill(pid, 0)
-                except ProcessLookupError:
-                    continue
-                live.append(pid)
-            return live
-
-        while time.monotonic() < orphan_deadline and pids_alive(worker_pids):
+        orphan_deadline = time.monotonic() + 6 * ORPHAN_POLL_S
+        while time.monotonic() < orphan_deadline and _pids_alive(worker_pids):
             time.sleep(0.5)
-        assert pids_alive(worker_pids) == [], "orphaned workers never exited"
+        assert _pids_alive(worker_pids) == [], "orphaned workers never exited"
         # with parent and workers gone the resource tracker (or the next
         # engine start's reaper) reclaims the rings
         tracker_deadline = time.monotonic() + 30.0
         while time.monotonic() < tracker_deadline and _repro_segments():
             time.sleep(0.5)
+        if _repro_segments():
+            _reap_stale_segments()
+        assert _repro_segments() == []
+
+    @pytest.mark.parametrize("comm", ["queue", "shm"])
+    def test_worker_blocked_in_halo_recv_exits_after_parent_sigkill(self, comm):
+        # deterministic orphan case: only rank 0 receives a "cycles" command,
+        # so it blocks in the halo recv waiting for rank 1, which idles on
+        # its command pipe -- a parent SIGKILLed now must not leave rank 0
+        # waiting out the full transport timeout
+        script = (
+            "import sys, time\n"
+            "from repro.scenarios import make_runner\n"
+            "from repro.scenarios.registry import get_scenario\n"
+            "spec = get_scenario('loh3', extent_m=4000.0, characteristic_length=2000.0,\n"
+            "    order=2, n_mechanisms=1, lam=1.0, n_clusters=2, n_cycles=50)\n"
+            f"spec = spec.with_overrides(n_ranks=2, backend='process', comm='{comm}')\n"
+            "runner = make_runner(spec)\n"
+            "runner.step_cycle()\n"
+            "engine = runner.engine\n"
+            "engine._ctrls[0].send(('cycles', 1))\n"
+            "print(' '.join(str(p.pid) for p in engine._procs), flush=True)\n"
+            "time.sleep(600)\n"
+        )
+        proc = subprocess.Popen(
+            [sys.executable, "-c", script], stdout=subprocess.PIPE, text=True
+        )
+        try:
+            worker_pids = [int(pid) for pid in proc.stdout.readline().split()]
+        finally:
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+        assert len(worker_pids) == 2, "workers never appeared"
+        deadline = time.monotonic() + 3 * ORPHAN_POLL_S
+        while time.monotonic() < deadline and _pids_alive(worker_pids):
+            time.sleep(0.2)
+        assert _pids_alive(worker_pids) == [], "orphaned workers never exited"
         if _repro_segments():
             _reap_stale_segments()
         assert _repro_segments() == []
