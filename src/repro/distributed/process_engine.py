@@ -63,7 +63,6 @@ __all__ = ["ProcessLtsEngine", "COMM_KINDS"]
 COMM_KINDS = ("queue", "shm")
 
 
-
 def _pid_alive(pid: int) -> bool:
     try:
         os.kill(pid, 0)

@@ -158,12 +158,12 @@ def elastic_upwind_split(lam, mu, rho) -> tuple[np.ndarray, np.ndarray]:
     eigvecs = np.real(eigvecs)
     inv_vecs = np.linalg.inv(eigvecs)
     diag = np.arange(9)
-    parts = []
-    for clip in (np.maximum, np.minimum):
-        speeds = np.zeros(eigvecs.shape)
-        speeds[..., diag, diag] = clip(eigvals, 0.0)
-        parts.append(eigvecs @ speeds @ inv_vecs)
-    return parts[0], parts[1]
+    speeds = np.zeros(eigvecs.shape)
+    speeds[..., diag, diag] = np.maximum(eigvals, 0.0)
+    plus = eigvecs @ speeds @ inv_vecs
+    speeds[..., diag, diag] = np.minimum(eigvals, 0.0)
+    minus = eigvecs @ speeds @ inv_vecs
+    return plus, minus
 
 
 # ----------------------------------------------------------------------

@@ -287,22 +287,21 @@ class Discretization:
         slots = np.argmax(mesh.elements[neigh][:, None, :] == shared[:, :, None], axis=2)
         keys = slots @ np.array([16, 4, 1])
         _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+        # renumber the (key-sorted) classes by first occurrence
         order = np.argsort(first)
         rank = np.empty_like(order)
         rank[order] = np.arange(len(order))
-
         index = np.full((mesh.n_elements, 4), -1, dtype=np.int64)
         index[elements, face_ids] = rank[inverse.reshape(-1)]
         self.neighbor_flux_index = index
 
-        matrices = np.zeros((len(order), ref.n_basis, ref.n_face_basis))
-        firsts = first[order]
+        firsts = first[order]  # the first face of each class
+        matrices = np.zeros((len(firsts), ref.n_basis, ref.n_face_basis))
         for i in range(4):
-            at_face = firsts[face_ids[firsts] == i]
-            if len(at_face):
-                matrices[rank[inverse.reshape(-1)[at_face]]] = self._neighbor_flux_projection(
-                    i, elements[at_face], neigh[at_face]
-                )
+            classes = np.flatnonzero(face_ids[firsts] == i)
+            if len(classes):
+                at = firsts[classes]
+                matrices[classes] = self._neighbor_flux_projection(i, elements[at], neigh[at])
         self.neighbor_flux_matrices = matrices
 
     def _neighbor_flux_projection(
