@@ -108,6 +108,16 @@ class TestFluxMatrices:
         np.testing.assert_allclose(g_local, plus, atol=1e-4)
         np.testing.assert_allclose(g_neigh, minus, atol=1e-4)
 
+    def test_godunov_upwinds_across_a_material_contrast(self):
+        """Outgoing waves take the local split, incoming ones the neighbour's."""
+        n = np.array([1.0, 0.0, 0.0])
+        neigh = (0.5 * LAM, 0.5 * MU, RHO)
+        g_local, g_neigh = godunov_flux_matrices(LAM, MU, RHO, *neigh, n)
+        plus, _ = elastic_upwind_split(LAM, MU, RHO)
+        _, minus = elastic_upwind_split(*neigh)
+        np.testing.assert_allclose(g_local, plus, atol=1e-4)
+        np.testing.assert_allclose(g_neigh, minus, atol=1e-4)
+
     def test_rusanov_is_dissipative(self):
         """The Rusanov local matrix minus half the normal Jacobian is positive
         semi-definite (s/2 I)."""

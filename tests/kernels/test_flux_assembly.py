@@ -31,9 +31,9 @@ from repro.source.moment_tensor import DiscretePointSource, MomentTensorSource, 
 from repro.source.time_functions import RickerWavelet
 
 
-def _box(jitter=0.1):
+def _box():
     coords = np.linspace(0.0, 2000.0, 3)
-    return box_mesh(coords, coords, coords, jitter=jitter, seed=3, free_surface_top=True)
+    return box_mesh(coords, coords, coords, jitter=0.1, seed=3, free_surface_top=True)
 
 
 def _tagged_mesh():
@@ -146,8 +146,8 @@ class TestFluxSolverAssembly:
         for k, i in np.argwhere(mesh.neighbors < 0):
             mat = disc.materials
             args = (mat.lam[k], mat.mu[k], mat.rho[k]) * 2
-            plain = geo.face_areas[k, i] / geo.determinants[k] * -2.0
-            plain = plain * rusanov_flux_matrices(*args, geo.face_normals[k, i])[1]
+            scale = -2.0 * geo.face_areas[k, i] / geo.determinants[k]
+            plain = scale * rusanov_flux_matrices(*args, geo.face_normals[k, i])[1]
             same = np.array_equal(disc.flux_neigh_elastic[k, i], plain)
             assert same == (mesh.boundary_tags[k, i] != BOUNDARY_FREE_SURFACE)
 
